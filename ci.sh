@@ -162,4 +162,10 @@ for seed in 7 11 23; do
     if echo "$e23" | grep -q 'FAILED'; then exit 1; fi
 done
 
+# The benchmark's own unit tests: every workload runs clean on a short
+# schedule (the durable one restarts a Core on its log and checks every
+# acknowledged counter), and the metric lists match BENCHMARK.json.
+echo "==> perfbench unit tests"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "CI OK"

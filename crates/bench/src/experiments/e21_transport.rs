@@ -24,29 +24,17 @@
 
 use std::time::{Duration, Instant};
 
-use fargo_core::{Core, CoreConfig, MetricValue, TelemetryRegistry, Value};
+use fargo_core::{Core, CoreConfig, TelemetryRegistry, Value};
 use simnet::{LinkConfig, Network, NetworkConfig};
 
 use crate::harness::ClusterSpec;
 use crate::table::Table;
-use crate::workload::bench_registry;
+use crate::workload::{bench_registry, counter_total};
 
 /// Server-side pool: two threads to park, a queue deep enough to hold
 /// every outstanding request without shedding.
 fn deep_queue(config: CoreConfig) -> CoreConfig {
     config.with_worker_pool(2, 32_768)
-}
-
-fn rejections(telemetry: &TelemetryRegistry) -> u64 {
-    telemetry
-        .snapshot()
-        .iter()
-        .filter(|s| s.name == "fargo_worker_rejections_total")
-        .map(|s| match s.value {
-            MetricValue::Counter(v) => v,
-            _ => 0,
-        })
-        .sum()
 }
 
 /// Parks the server pool, floods it with `n` async calls, and returns
@@ -68,7 +56,7 @@ fn inflight_scaling(n: usize, nap_ms: i64) -> (usize, u64, usize) {
 
     let pending: Vec<_> = (0..n).map(|_| servant.call_async("touch", &[])).collect();
     let peak = cluster.cores[0].inflight_rpcs();
-    let rejected = rejections(&cluster.telemetry);
+    let rejected = counter_total(&cluster.telemetry, "fargo_worker_rejections_total");
 
     let failed = pending
         .into_iter()

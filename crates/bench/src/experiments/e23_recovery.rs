@@ -24,11 +24,17 @@
 //!   warm hint: the replay republishes every survivor to its owning
 //!   location shard, so lookups resolve in at most 2 network hops.
 //!
+//! Informational rows measure the ack path's group commit: acknowledged
+//! calls per second at 1, 8 and 32 concurrent callers, each touching its
+//! own complet, and the fsyncs the log paid per ack. One fsync covers
+//! every record written before it starts, so fsyncs per ack should fall
+//! as concurrency rises. On tmpfs fsync is free and the row says so.
+//!
 //! A final row runs the fault-injection checker sweep (crash, restart,
 //! partition, heal ops mixed into random schedules) to tie the benchmark
 //! to the model-checked invariant: the sweep must come back clean.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use fargo_check::{sweep, SweepConfig};
@@ -36,7 +42,7 @@ use fargo_core::{CompletRef, Core, CoreConfig, RefDescriptor, TelemetryRegistry}
 use simnet::{LinkConfig, Network, NetworkConfig};
 
 use crate::table::Table;
-use crate::workload::{bench_registry, fmt_duration};
+use crate::workload::{bench_registry, counter_total, fmt_duration};
 
 /// Scratch directory for one run's write-ahead logs.
 fn wal_scratch(tag: &str) -> PathBuf {
@@ -155,6 +161,70 @@ fn kill_restart_sweep(n: usize) -> KillStats {
     stats
 }
 
+/// Filesystem type of the mount holding `path`, from `/proc/mounts`
+/// (`"unknown"` where that is unreadable).
+fn fs_type(path: &Path) -> String {
+    let path = path.canonicalize().unwrap_or_else(|_| path.to_path_buf());
+    let mounts = std::fs::read_to_string("/proc/mounts").unwrap_or_default();
+    mounts
+        .lines()
+        .filter_map(|line| {
+            let mut parts = line.split_whitespace();
+            let (_dev, mount, kind) = (parts.next()?, parts.next()?, parts.next()?);
+            path.starts_with(mount)
+                .then(|| (mount.len(), kind.to_owned()))
+        })
+        .max()
+        .map_or_else(|| "unknown".to_owned(), |(_, kind)| kind)
+}
+
+struct CommitStats {
+    acks: u64,
+    elapsed: Duration,
+    fsyncs: u64,
+    fs: String,
+}
+
+/// Group commit under `callers` concurrent callers: each hammers its own
+/// local complet with `acks_per_caller` acknowledged calls.
+fn ack_throughput(callers: usize, acks_per_caller: usize) -> CommitStats {
+    let root = wal_scratch(&format!("commit{callers}"));
+    let net = Network::new(NetworkConfig {
+        default_link: Some(LinkConfig::instant()),
+        ..NetworkConfig::default()
+    });
+    let telemetry = TelemetryRegistry::new();
+    let core = Core::builder(&net, "core0")
+        .registry(&bench_registry())
+        .config(CoreConfig::default().with_wal_dir(root.join("core0")))
+        .telemetry(&telemetry)
+        .spawn()
+        .expect("core must spawn");
+    let handles: Vec<_> = (0..callers)
+        .map(|_| core.new_complet("Servant", &[]).expect("create"))
+        .collect();
+    let fsyncs_before = counter_total(&telemetry, "fargo_wal_fsyncs_total");
+    let started = Instant::now();
+    std::thread::scope(|s| {
+        for h in &handles {
+            s.spawn(move || {
+                for _ in 0..acks_per_caller {
+                    h.call("touch", &[]).expect("acked call");
+                }
+            });
+        }
+    });
+    let stats = CommitStats {
+        acks: (callers * acks_per_caller) as u64,
+        elapsed: started.elapsed(),
+        fsyncs: counter_total(&telemetry, "fargo_wal_fsyncs_total") - fsyncs_before,
+        fs: fs_type(&root),
+    };
+    core.stop();
+    let _ = std::fs::remove_dir_all(&root);
+    stats
+}
+
 pub fn run(full: bool) -> Table {
     let sizes: &[usize] = if full { &[64, 256, 1024] } else { &[32, 128] };
     let sweep_seeds: u64 = if full { 200 } else { 50 };
@@ -164,7 +234,7 @@ pub fn run(full: bool) -> Table {
         &["complets", "acked calls", "recovered", "recovery", "hops p99", "notes"],
     )
     .with_note(
-        "guardrail: a killed-and-restarted Core recovers 100% of acknowledged state from its write-ahead log, replay stays well under a second at every population size here, and post-recovery lookups from a cold peer resolve in <= 2 hops; the fault-injection checker sweep (crash/restart/partition/heal) must come back clean.",
+        "guardrail: a killed-and-restarted Core recovers 100% of acknowledged state from its write-ahead log, replay stays well under a second at every population size here, and post-recovery lookups from a cold peer resolve in <= 2 hops; the fault-injection checker sweep (crash/restart/partition/heal) must come back clean. The group-commit rows (acks/s and fsyncs per ack at 1/8/32 concurrent callers) are informational.",
     );
     for &n in sizes {
         let s = kill_restart_sweep(n);
@@ -183,6 +253,29 @@ pub fn run(full: bool) -> Table {
                     s.replayed, s.lost, s.hops_p99
                 )
             },
+        ]);
+    }
+
+    let acks_total = if full { 8192 } else { 2048 };
+    for callers in [1usize, 8, 32] {
+        let c = ack_throughput(callers, acks_total / callers);
+        let secs = c.elapsed.as_secs_f64().max(1e-9);
+        let tmpfs = if matches!(c.fs.as_str(), "tmpfs" | "ramfs") {
+            format!(", WAL on {}: fsync is free, figures measure nothing", c.fs)
+        } else {
+            String::new()
+        };
+        table.row([
+            callers.to_string(),
+            c.acks.to_string(),
+            "-".to_owned(),
+            fmt_duration(c.elapsed),
+            "-".to_owned(),
+            format!(
+                "group commit, {callers} caller(s): {:.0} acks/s, {:.3} fsyncs/ack (informational{tmpfs})",
+                c.acks as f64 / secs,
+                c.fsyncs as f64 / c.acks as f64
+            ),
         ]);
     }
 
@@ -225,6 +318,19 @@ mod tests {
         assert_eq!(s.recovered, 8);
         assert_eq!(s.replayed, 8);
         assert!(s.hops_p99 <= 2, "hops p99 {}", s.hops_p99);
+    }
+
+    #[test]
+    fn group_commit_never_pays_more_than_one_fsync_per_ack() {
+        let c = ack_throughput(4, 16);
+        assert_eq!(c.acks, 64);
+        assert!(c.fsyncs >= 1, "acks were synced");
+        assert!(
+            c.fsyncs <= c.acks,
+            "{} fsyncs for {} acks",
+            c.fsyncs,
+            c.acks
+        );
     }
 
     #[test]

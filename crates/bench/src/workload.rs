@@ -2,7 +2,9 @@
 
 use std::time::{Duration, Instant};
 
-use fargo_core::{define_complet, CompletRegistry, FargoError, Value};
+use fargo_core::{
+    define_complet, CompletRegistry, FargoError, MetricValue, TelemetryRegistry, Value,
+};
 
 /// Times one execution of `f`.
 pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
@@ -162,6 +164,19 @@ pub fn bench_registry() -> CompletRegistry {
     Servant::register(&reg);
     Holder::register(&reg);
     reg
+}
+
+/// Sum of the counter `name` over every Core reporting into `telemetry`.
+pub fn counter_total(telemetry: &TelemetryRegistry, name: &str) -> u64 {
+    telemetry
+        .snapshot()
+        .iter()
+        .filter(|s| s.name == name)
+        .map(|s| match s.value {
+            MetricValue::Counter(v) => v,
+            _ => 0,
+        })
+        .sum()
 }
 
 /// A payload of roughly `bytes` bytes.

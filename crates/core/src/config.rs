@@ -167,15 +167,17 @@ pub struct CoreConfig {
     pub wal_dir: Option<std::path::PathBuf>,
     /// Whether every acknowledged invocation re-captures the complet's
     /// state into the log (the strongest guarantee: no acknowledged
-    /// state lost). Off logs only lifecycle transitions (create, move,
+    /// state lost; a state identical to the one already logged is not
+    /// written again). Off logs only lifecycle transitions (create, move,
     /// depart), so a crash can roll a complet back to its last
     /// lifecycle capture.
     pub wal_sync_acks: bool,
-    /// Whether every log append is fsynced (`sync_data`) before the
-    /// acknowledgement leaves the Core. On (the default), durability
-    /// covers OS crashes and power loss; off, records reach the OS page
-    /// cache only, so durability covers process crashes but an OS crash
-    /// can drop the unsynced tail.
+    /// Whether an acknowledgement waits for an fsync (`sync_data`)
+    /// covering its log record; concurrent acknowledgements share one
+    /// group fsync. On (the default), durability covers OS crashes and
+    /// power loss; off, records reach the OS page cache only, so
+    /// durability covers process crashes but an OS crash can drop the
+    /// unsynced tail.
     pub wal_fsync: bool,
     /// Appends between monitor-tick log compactions (a compaction
     /// rewrites the log as a fresh snapshot of live state).

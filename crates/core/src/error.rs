@@ -68,6 +68,11 @@ pub enum FargoError {
     /// will learn the recorded commit decision), but the source can no
     /// longer prove which until the partition heals.
     MoveInDoubt(CompletId),
+    /// The write-ahead log could not make an invocation's resulting
+    /// state durable: a write or fsync failed, now or earlier (a failed
+    /// log stays failed). The invocation ran, but its outcome is not
+    /// acknowledged — it may or may not survive a crash of the Core.
+    Durability(String),
 }
 
 impl fmt::Display for FargoError {
@@ -110,6 +115,9 @@ impl fmt::Display for FargoError {
                     f,
                     "move of complet {id} is in doubt: commit outcome unknown"
                 )
+            }
+            FargoError::Durability(msg) => {
+                write!(f, "state not durable, write-ahead log failed: {msg}")
             }
         }
     }

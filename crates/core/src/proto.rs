@@ -498,6 +498,7 @@ fn error_to_value(e: &FargoError) -> Value {
             ("capacity", format!("{core}/{capacity}"))
         }
         FargoError::MoveInDoubt(id) => ("move_indoubt", id.to_string()),
+        FargoError::Durability(m) => ("durability", m.clone()),
         other => ("app", other.to_string()),
     };
     Value::map([("code", Value::from(code)), ("detail", Value::from(detail))])
@@ -528,6 +529,7 @@ fn error_from_value(v: &Value) -> Result<FargoError> {
             }
         }
         "hop_limit" => FargoError::HopLimit(detail.parse().unwrap_or(0)),
+        "durability" => FargoError::Durability(detail),
         // Complet ids inside error details are informational; decode as App
         // if unparsable rather than failing the whole reply.
         "unknown_complet" | "reentrant" | "already_moving" | "move_indoubt" => {
@@ -1790,6 +1792,7 @@ mod tests {
             FargoError::ShuttingDown,
             FargoError::HopLimit(64),
             FargoError::MoveInDoubt(CompletId::new(0, 9)),
+            FargoError::Durability("fsync failed".into()),
         ];
         for e in cases {
             let m = Message::Reply {

@@ -416,26 +416,36 @@ impl Core {
                     // Write-ahead before acknowledging: a successful
                     // reply promises the caller that the complet's
                     // post-invocation state survives a Core crash. The
-                    // record is appended while the slot is still locked
+                    // record is written while the slot is still locked
                     // so log order matches invocation order — released
                     // first, a concurrent invocation could mutate the
                     // complet, append its newer state, and then be
                     // durably superseded by this one's stale snapshot
-                    // (fold keeps the last record per id).
-                    let acked = result.is_ok()
+                    // (fold keeps the last record per id). The wait for
+                    // the disk happens after the slot is released, so
+                    // the next caller can run and join the same fsync.
+                    let logged = (result.is_ok()
                         && self.inner.config.wal_sync_acks
-                        && self.inner.wal.is_some();
-                    if acked {
-                        self.wal_capture_state(id, &slot.type_name, complet.marshal());
-                    }
+                        && self.inner.wal.is_some())
+                    .then(|| {
+                        let state = complet.marshal();
+                        self.wal_write(&self.wal_state_record(id, &slot.type_name, state))
+                    });
                     drop(guard);
-                    if acked {
-                        let detail = match result.as_ref() {
-                            Ok(Value::I64(v)) => v.to_string(),
-                            _ => String::new(),
-                        };
-                        t.journal(JournalKind::ExecAcked, &id, method, &detail, None);
-                    }
+                    let result = match logged {
+                        None => result,
+                        Some(lsn) => match lsn.and_then(|lsn| self.wal_wait(lsn)) {
+                            Ok(()) => {
+                                let detail = match result.as_ref() {
+                                    Ok(Value::I64(v)) => v.to_string(),
+                                    _ => String::new(),
+                                };
+                                t.journal(JournalKind::ExecAcked, &id, method, &detail, None);
+                                result
+                            }
+                            Err(e) => Err(FargoError::Durability(e.to_string())),
+                        },
+                    };
                     // Weak mobility: deferred self-moves run only now,
                     // after the method body released the complet (§3.3).
                     self.run_deferred(ctx);

@@ -20,7 +20,7 @@ pub use wal::RecoveryReport;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Condvar, PoisonError, Weak};
 use std::thread;
 use std::time::Duration;
 
@@ -109,6 +109,11 @@ pub(crate) struct CoreInner {
     pub hub: EventHub,
     pub telemetry: CoreTelemetry,
     pub shutdown: AtomicBool,
+    /// Cuts the monitor thread's tick sleep short when `stop()` flags
+    /// `shutdown`.
+    pub monitor_wake: (std::sync::Mutex<()>, Condvar),
+    /// The monitor thread, joined by `stop()`.
+    pub monitor_thread: Mutex<Option<thread::JoinHandle<()>>>,
     /// Receiver-side reply-dedup cache: the at-most-once half of the
     /// reliable messaging layer.
     pub reply_cache: ReplyCache,
@@ -371,6 +376,8 @@ impl<'a> CoreBuilder<'a> {
             complet_seq: AtomicU64::new(1),
             hub: EventHub::new(),
             shutdown: AtomicBool::new(false),
+            monitor_wake: (std::sync::Mutex::new(()), Condvar::new()),
+            monitor_thread: Mutex::new(None),
             reply_cache: ReplyCache::new(config.dedup_cache_capacity),
             work_tx,
             work_rx: work_rx.clone(),
@@ -1320,13 +1327,28 @@ impl Core {
         self.stop();
     }
 
-    /// Stops the Core immediately: no more requests are served.
+    /// Stops the Core immediately: no more requests are served, and
+    /// once this returns the monitor thread has exited, so no periodic
+    /// pass of this incarnation (a log compaction above all) can touch
+    /// state a Core respawned on the same directory now owns.
     pub fn stop(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
+        {
+            let (lock, wake) = &self.inner.monitor_wake;
+            let _guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
+            wake.notify_all();
+        }
         // Mark the node down on the control plane first (so peers' sends
         // start refusing), then tear the transport down.
         let _ = self.inner.net.set_node_up(self.inner.node, false);
         self.inner.transport.shutdown();
+        let monitor = self.inner.monitor_thread.lock().take();
+        if let Some(handle) = monitor {
+            // A tick hook may stop its own Core; it cannot join itself.
+            if handle.thread().id() != thread::current().id() {
+                let _ = handle.join();
+            }
+        }
     }
 
     // --- internals -------------------------------------------------------------
@@ -2040,11 +2062,26 @@ impl Core {
 
     fn spawn_monitor_thread(&self) {
         let core = self.clone();
-        thread::Builder::new()
+        let handle = thread::Builder::new()
             .name(format!("fargo-monitor-{}", self.inner.name))
             .spawn(move || {
-                while !core.inner.shutdown.load(Ordering::SeqCst) {
-                    thread::sleep(core.inner.config.monitor_tick);
+                let stopped = || core.inner.shutdown.load(Ordering::SeqCst);
+                loop {
+                    {
+                        let (lock, wake) = &core.inner.monitor_wake;
+                        let guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
+                        let _ = wake
+                            .wait_timeout_while(guard, core.inner.config.monitor_tick, |_| {
+                                !stopped()
+                            })
+                            .unwrap_or_else(PoisonError::into_inner);
+                    }
+                    // Recheck after the sleep: a stopped Core's pass
+                    // could compact its log over that of a Core
+                    // respawned on the same directory.
+                    if stopped() {
+                        break;
+                    }
                     for event in core.inner.monitor.tick(core.inner.node.index()) {
                         core.fire_event(event);
                     }
@@ -2065,6 +2102,7 @@ impl Core {
                 }
             })
             .expect("failed to spawn monitor thread");
+        *self.inner.monitor_thread.lock() = Some(handle);
     }
 
     fn install_sampler(&self) {

@@ -23,11 +23,14 @@
 //!   acknowledged — instantiation, each successful invocation (under
 //!   `wal_sync_acks`), arrival, departure, and the two-phase move
 //!   verdicts — *before* the acknowledgement leaves this process, and
-//!   (under `wal_fsync`, the default) fsyncs each append so the
-//!   guarantee covers OS crashes and power loss, not just process
-//!   deaths. A
-//!   restarted Core replays the log ([`Core::recover_from_wal`], run
-//!   automatically at spawn), folds it to crash-time truth, re-installs
+//!   (under `wal_fsync`, the default) waits for an fsync covering the
+//!   record, so the guarantee covers OS crashes and power loss, not
+//!   just process deaths. Concurrent acks share one group fsync, and
+//!   an invocation that left the state unchanged writes nothing; a
+//!   failed write or fsync turns the ack into
+//!   [`FargoError::Durability`]. A restarted Core replays the log
+//!   ([`Core::recover_from_wal`], run automatically at spawn), folds
+//!   it to crash-time truth, re-installs
 //!   survivors at their recorded epochs, re-holds prepared-but-undecided
 //!   move streams, and republishes everything to the location shards.
 //!   The monitor thread compacts the log once it grows past
@@ -222,22 +225,67 @@ impl Core {
 
     // --- write-ahead log ---------------------------------------------------
 
-    /// Appends one record to the write-ahead log; a no-op when the log is
-    /// disabled. Append failures are counted, not surfaced — durability
-    /// degrades, the running cluster does not stop.
+    /// Appends one record to the write-ahead log and waits until it is
+    /// durable; a no-op when the log is disabled. Failures are counted,
+    /// not surfaced — durability degrades, the running cluster does not
+    /// stop — but once the log is poisoned every later append fails
+    /// fast. Only the invocation ack path turns a failure into an error
+    /// ([`Core::wal_write`] + [`Core::wal_wait`]).
     pub(crate) fn wal_append(&self, record: &wal::WalRecord) {
-        let Some(wal) = &self.inner.wal else { return };
-        match wal.append(record) {
-            Ok(()) => self.inner.telemetry.wal_appends_total.inc(),
-            Err(_) => self.inner.telemetry.wal_errors_total.inc(),
+        if let Ok(lsn) = self.wal_write(record) {
+            let _ = self.wal_wait(lsn);
+        }
+    }
+
+    /// The write half of a log append: writes `record` (or finds the
+    /// identical `State` already logged) and returns the LSN to wait
+    /// on, `None` when the log is disabled. Safe to call under a slot
+    /// lock — it never waits for the disk.
+    pub(crate) fn wal_write(&self, record: &wal::WalRecord) -> std::io::Result<Option<u64>> {
+        let Some(wal) = &self.inner.wal else {
+            return Ok(None);
+        };
+        let t = &self.inner.telemetry;
+        match wal.append_nowait(record) {
+            Ok(appended) => {
+                if appended.written {
+                    t.wal_appends_total.inc();
+                }
+                Ok(Some(appended.lsn))
+            }
+            Err(e) => {
+                t.wal_errors_total.inc();
+                Err(e)
+            }
+        }
+    }
+
+    /// The wait half of a log append: blocks until `lsn` is durable,
+    /// joining (or leading) a group fsync. Must not be called under a
+    /// slot lock.
+    pub(crate) fn wal_wait(&self, lsn: Option<u64>) -> std::io::Result<()> {
+        let (Some(wal), Some(lsn)) = (&self.inner.wal, lsn) else {
+            return Ok(());
+        };
+        let t = &self.inner.telemetry;
+        match wal.wait_durable(lsn) {
+            Ok(synced) => {
+                if synced {
+                    t.wal_fsyncs_total.inc();
+                }
+                Ok(())
+            }
+            Err(e) => {
+                t.wal_errors_total.inc();
+                Err(e)
+            }
         }
     }
 
     /// Captures a resident complet's current state into the log (no-op
     /// when the log is disabled, the complet is absent, or it is not
     /// `Present`). Must not be called while the caller holds the slot
-    /// lock — use [`Core::wal_capture_state`] with a pre-marshaled state
-    /// from inside a locked section.
+    /// lock.
     pub(crate) fn wal_capture(&self, id: CompletId) {
         if self.inner.wal.is_none() {
             return;
@@ -252,17 +300,17 @@ impl Core {
                 _ => return,
             }
         };
-        self.wal_capture_state(id, &slot.type_name, state);
+        self.wal_append(&self.wal_state_record(id, &slot.type_name, state));
     }
 
-    /// Appends a `State` record from an already-marshaled state. Safe
-    /// to call while the caller holds the slot lock — the invocation
-    /// path does exactly that, so a concurrent invocation of the same
-    /// complet cannot interleave a newer append under this one.
-    pub(crate) fn wal_capture_state(&self, id: CompletId, type_name: &str, state: Value) {
-        if self.inner.wal.is_none() {
-            return;
-        }
+    /// A `State` record for an already-marshaled state, with the
+    /// complet's current move epoch and the logical names bound to it.
+    pub(crate) fn wal_state_record(
+        &self,
+        id: CompletId,
+        type_name: &str,
+        state: Value,
+    ) -> wal::WalRecord {
         let names: Vec<String> = self
             .inner
             .naming
@@ -271,13 +319,13 @@ impl Core {
             .filter(|(_, d)| d.target == id)
             .map(|(n, _)| n.clone())
             .collect();
-        self.wal_append(&wal::WalRecord::State(wal::WalState {
+        wal::WalRecord::State(wal::WalState {
             id,
             type_name: type_name.to_owned(),
             state,
             epoch: self.current_move_epoch(id),
             names,
-        }));
+        })
     }
 
     /// Replays this Core's write-ahead log after a restart: re-installs
@@ -515,10 +563,10 @@ impl Core {
     }
 
     /// Monitor-tick hook: compacts once the log accumulates
-    /// `wal_compact_records` appends since the last rewrite.
+    /// `wal_compact_records` appends since the last compaction.
     pub(crate) fn wal_compact_if_due(&self) {
         let Some(wal) = &self.inner.wal else { return };
-        if wal.appends_since_rewrite() >= self.inner.config.wal_compact_records {
+        if wal.appends_since_compact() >= self.inner.config.wal_compact_records {
             self.wal_compact_now();
         }
     }

@@ -3,29 +3,45 @@
 //!
 //! Every state-bearing transition a Core acknowledges (instantiation,
 //! move arrival, acknowledged invocation, departure, and both sides of
-//! the two-phase move protocol) appends one record to an on-disk log
-//! before the acknowledgement leaves the Core. Records are marshaled
-//! [`Value`] trees — the same representation movement and checkpointing
-//! use — encoded with `fargo-wire` and framed with `fargo-net`'s
+//! the two-phase move protocol) is in an on-disk log before the
+//! acknowledgement leaves the Core. Records are marshaled [`Value`]
+//! trees — the same representation movement and checkpointing use —
+//! encoded with `fargo-wire` and framed with `fargo-net`'s
 //! length-prefixed frame format, with a CRC32 over the encoded payload
 //! so a torn or corrupted tail is detected and cleanly ignored on
-//! replay. With `CoreConfig::wal_fsync` on (the default) each append is
-//! fsynced before the acknowledgement leaves, so durability covers OS
-//! crashes and power loss; off, records stop at the OS page cache and
-//! the guarantee narrows to process crashes.
+//! replay.
+//!
+//! Appends are group-committed. [`Wal::append_nowait`] writes a record
+//! under the append lock and assigns it a log sequence number (LSN);
+//! [`Wal::wait_durable`] blocks until that LSN is on stable storage.
+//! One waiter leads each fsync, outside the append lock, and that fsync
+//! covers every record written before it started — so concurrent acks
+//! share one fsync instead of queueing for one each. A `State` record
+//! identical to the newest one already logged for its id is not written
+//! again (a read-only invocation changes nothing); its caller waits on
+//! the earlier record's LSN instead. With `CoreConfig::wal_fsync` off,
+//! records stop at the OS page cache and the guarantee narrows to
+//! process crashes.
+//!
+//! A failed write or fsync *poisons* the log: that call, every waiter
+//! not yet durable, and every later append or wait fail, so a later
+//! fsync can never paper over one that failed. A restarted Core opens a
+//! fresh handle and replays what reached the disk.
 //!
 //! On restart, [`Wal::replay_path`] reads the surviving prefix and
 //! [`fold`] reduces it to the set of complets that were live (and the
 //! move-protocol state that was in flight) at the crash; the Core
 //! re-installs those survivors and resumes the protocol. Periodic
-//! [`Wal::rewrite`] compaction (driven from the monitor tick) replaces
+//! [`Wal::compact`] compaction (driven from the monitor tick) replaces
 //! the log with a fresh snapshot so it does not grow without bound.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, PoisonError};
 
 use fargo_net::frame::{read_frame, write_frame, FrameError};
 use fargo_wire::{decode_value, encode_value, CompletId, Value};
@@ -160,14 +176,83 @@ pub struct RecoveryReport {
     pub duration_us: u64,
 }
 
+/// What [`Wal::append_nowait`] did with a record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Appended {
+    /// The log sequence number to pass to [`Wal::wait_durable`]: the
+    /// record's own, or — for a skipped `State` — that of the identical
+    /// record already in the log.
+    pub lsn: u64,
+    /// `false` when the record was a byte-identical repeat of the newest
+    /// `State` logged for its id and nothing was written.
+    pub written: bool,
+}
+
 /// The append handle over one Core's log file.
-#[derive(Debug)]
+///
+/// Appending is split in two halves. The write half
+/// ([`Wal::append_nowait`]) writes the CRC frame under the append lock
+/// and assigns the record a monotonically increasing log sequence
+/// number (LSN). The wait half ([`Wal::wait_durable`]) blocks until
+/// that LSN is on stable storage. Waiters commit as a group: the first
+/// one to find no fsync in flight becomes the leader, syncs everything
+/// written so far outside the append lock, and wakes the rest.
 pub struct Wal {
     path: PathBuf,
-    file: Mutex<File>,
+    /// The write half, held while a frame is written so frames never
+    /// interleave and LSN order is file order.
+    tail: Mutex<Tail>,
+    /// The wait half: what is durable and whether an fsync is running.
+    sync: std::sync::Mutex<SyncState>,
+    /// Signalled when an fsync finishes or compaction makes the log
+    /// durable.
+    synced: Condvar,
+    /// Highest LSN whose frame is fully written, published under `tail`.
+    written: AtomicU64,
+    /// Set by the first failed write, fsync or post-rename compaction
+    /// step, and never cleared: the kernel may already have dropped the
+    /// dirty pages a failed fsync covered, so a later fsync that
+    /// succeeds proves nothing about them.
+    poisoned: AtomicBool,
     appends: AtomicU64,
     generation: u64,
     fsync: bool,
+    /// Runs before each leader fsync; an error stands in for a failed
+    /// fsync (fault injection).
+    #[cfg(test)]
+    sync_hook: Mutex<Option<SyncHook>>,
+}
+
+#[cfg(test)]
+type SyncHook = Box<dyn Fn() -> io::Result<()> + Send + Sync>;
+
+struct Tail {
+    file: File,
+    /// Digest and LSN of the newest `State` logged per id. Cleared by
+    /// every other record kind and by compaction, so an entry is always
+    /// the newest record that concerns its id.
+    last_state: HashMap<CompletId, (u64, u64)>,
+}
+
+struct SyncState {
+    /// Every LSN up to this one is on stable storage.
+    durable: u64,
+    /// A leader is running an fsync outside the lock.
+    syncing: bool,
+    /// A second handle on the log file, synced without the append lock.
+    file: Arc<File>,
+}
+
+impl fmt::Debug for Wal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Wal")
+            .field("path", &self.path)
+            .field("written", &self.written.load(Ordering::Relaxed))
+            .field("poisoned", &self.poisoned.load(Ordering::Relaxed))
+            .field("generation", &self.generation)
+            .field("fsync", &self.fsync)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Wal {
@@ -183,9 +268,9 @@ impl Wal {
     /// re-enable exactly the stale-request-id collisions the counter
     /// exists to prevent).
     ///
-    /// With `fsync` on, every append (and the sidecar bump) is synced
-    /// to stable storage before it is acknowledged; off, records stop
-    /// at the OS page cache — durable across a process crash only.
+    /// With `fsync` on, [`Wal::wait_durable`] (and the sidecar bump)
+    /// syncs to stable storage; off, records stop at the OS page cache —
+    /// durable across a process crash only.
     ///
     /// # Errors
     ///
@@ -221,12 +306,26 @@ impl Wal {
         }
         let path = Self::log_path(dir, core);
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let sync_file = Arc::new(file.try_clone()?);
         Ok(Wal {
             path,
-            file: Mutex::new(file),
+            tail: Mutex::new(Tail {
+                file,
+                last_state: HashMap::new(),
+            }),
+            sync: std::sync::Mutex::new(SyncState {
+                durable: 0,
+                syncing: false,
+                file: sync_file,
+            }),
+            synced: Condvar::new(),
+            written: AtomicU64::new(0),
+            poisoned: AtomicBool::new(false),
             appends: AtomicU64::new(0),
             generation,
             fsync,
+            #[cfg(test)]
+            sync_hook: Mutex::new(None),
         })
     }
 
@@ -246,32 +345,134 @@ impl Wal {
         &self.path
     }
 
-    /// Appends one record (CRC-framed) and — with fsync on — syncs it
-    /// to stable storage before returning, so the acknowledgement the
-    /// caller is about to send cannot outlive the record it promises.
+    /// Appends one record and waits until it is durable: the
+    /// [`Wal::append_nowait`] write half followed by the
+    /// [`Wal::wait_durable`] wait half (the Core calls the halves
+    /// itself, to count them).
+    #[cfg(test)]
+    pub fn append(&self, record: &WalRecord) -> io::Result<()> {
+        let appended = self.append_nowait(record)?;
+        self.wait_durable(appended.lsn).map(drop)
+    }
+
+    /// The write half of an append: writes the CRC-framed record under
+    /// the append lock and returns its LSN, without waiting for it to
+    /// reach stable storage. A `State` record whose encoded bytes match
+    /// the newest record already logged for its id is not written
+    /// again; the returned LSN is then that earlier record's, so a
+    /// caller that waits on it still never reports a state that is not
+    /// durable. (Records are compared by a 64-bit FNV-1a digest of the
+    /// length-prefixed, CRC-carrying frame.)
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors.
-    pub fn append(&self, record: &WalRecord) -> io::Result<()> {
-        let encoded = encode_value(&record.to_value());
-        let mut payload = Vec::with_capacity(encoded.len() + 4);
-        payload.extend_from_slice(&crc32(&encoded).to_be_bytes());
-        payload.extend_from_slice(&encoded);
-        let mut file = self.file.lock();
-        write_frame(&mut *file, &payload).map_err(|e| match e {
-            FrameError::Io(io) => io,
-            other => io::Error::other(other.to_string()),
-        })?;
-        if self.fsync {
-            file.sync_data()?;
+    /// A failed write poisons the log and is returned; once poisoned,
+    /// every append fails fast.
+    pub fn append_nowait(&self, record: &WalRecord) -> io::Result<Appended> {
+        let frame = encode_frame(record)?;
+        let state = match record {
+            WalRecord::State(s) => Some((s.id, fnv1a64(&frame))),
+            _ => None,
+        };
+        let mut tail = self.tail.lock();
+        if self.poisoned.load(Ordering::Acquire) {
+            return Err(poisoned());
+        }
+        if let Some((id, digest)) = state {
+            if let Some(&(logged, lsn)) = tail.last_state.get(&id) {
+                if logged == digest {
+                    return Ok(Appended {
+                        lsn,
+                        written: false,
+                    });
+                }
+            }
+        }
+        if let Err(e) = tail.file.write_all(&frame) {
+            // A partial frame may be on disk: replay stops at it, so
+            // nothing appended after it could ever be recovered.
+            self.poison();
+            return Err(e);
+        }
+        let lsn = self.written.load(Ordering::Relaxed) + 1;
+        self.written.store(lsn, Ordering::Release);
+        match state {
+            Some((id, digest)) => {
+                tail.last_state.insert(id, (digest, lsn));
+            }
+            None => tail.last_state.clear(),
         }
         self.appends.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        Ok(Appended { lsn, written: true })
     }
 
-    /// Appends since the last [`Wal::rewrite`] (compaction trigger).
-    pub fn appends_since_rewrite(&self) -> u64 {
+    /// The wait half of an append: blocks until every record up to
+    /// `lsn` is on stable storage. The first waiter to find `lsn` not
+    /// yet durable and no fsync in flight leads: it syncs everything
+    /// written so far outside the append lock, advances the durable
+    /// LSN, and wakes the others, whose records that one fsync covered.
+    /// With fsync off a written record counts as durable at once.
+    ///
+    /// Returns `true` when this call ran the fsync.
+    ///
+    /// # Errors
+    ///
+    /// Fails once the log is poisoned — the failing leader with the
+    /// fsync's own error, every other waiter and every later call with
+    /// a poisoned-log error, so no later wait can paper over a failed
+    /// fsync.
+    pub fn wait_durable(&self, lsn: u64) -> io::Result<bool> {
+        let mut sync = self.sync.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if self.poisoned.load(Ordering::Acquire) {
+                return Err(poisoned());
+            }
+            if !self.fsync || lsn <= sync.durable {
+                return Ok(false);
+            }
+            if sync.syncing {
+                sync = self
+                    .synced
+                    .wait(sync)
+                    .unwrap_or_else(PoisonError::into_inner);
+                continue;
+            }
+            // Lead: everything written so far — at least `lsn`, which
+            // was written before its caller got to wait on it — rides
+            // on this one fsync.
+            sync.syncing = true;
+            let target = self.written.load(Ordering::Acquire);
+            let file = Arc::clone(&sync.file);
+            drop(sync);
+            let result = self.sync_data(&file);
+            sync = self.sync.lock().unwrap_or_else(PoisonError::into_inner);
+            sync.syncing = false;
+            match &result {
+                Ok(()) => sync.durable = sync.durable.max(target),
+                Err(_) => self.poisoned.store(true, Ordering::Release),
+            }
+            self.synced.notify_all();
+            return result.map(|()| true);
+        }
+    }
+
+    fn sync_data(&self, file: &File) -> io::Result<()> {
+        #[cfg(test)]
+        if let Some(hook) = &*self.sync_hook.lock() {
+            hook()?;
+        }
+        file.sync_data()
+    }
+
+    fn poison(&self) {
+        self.poisoned.store(true, Ordering::Release);
+        let _sync = self.sync.lock().unwrap_or_else(PoisonError::into_inner);
+        self.synced.notify_all();
+    }
+
+    /// Records written since the last [`Wal::compact`] (compaction
+    /// trigger).
+    pub fn appends_since_compact(&self) -> u64 {
         self.appends.load(Ordering::Relaxed)
     }
 
@@ -312,15 +513,23 @@ impl Wal {
     /// place and is appended after it — compaction can never lose
     /// acknowledged state. The image is written to a temporary file,
     /// synced, and renamed over the old log, so a crash mid-compaction
-    /// leaves one valid log.
+    /// leaves one valid log. The synced image holds every record
+    /// written so far, so compaction also makes every LSN written so
+    /// far durable, releasing their waiters without an fsync of their
+    /// own.
     ///
     /// Returns the number of records in the compacted image.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors.
+    /// Propagates filesystem errors; fails fast on a poisoned log, and
+    /// poisons it when a step after the rename fails (appends would
+    /// otherwise land in the unlinked old file).
     pub fn compact(&self, extra: &[WalRecord]) -> io::Result<usize> {
-        let mut file = self.file.lock();
+        let mut tail = self.tail.lock();
+        if self.poisoned.load(Ordering::Acquire) {
+            return Err(poisoned());
+        }
         let replay = Self::replay_path(&self.path)?;
         let folded = fold(&replay.records);
         let mut records: Vec<WalRecord> = Vec::new();
@@ -338,31 +547,78 @@ impl Wal {
             });
         }
         records.extend_from_slice(extra);
+        let mut image = Vec::new();
+        for rec in &records {
+            image.extend_from_slice(&encode_frame(rec)?);
+        }
         let tmp = self.path.with_extension("wal.tmp");
         {
             let mut out = File::create(&tmp)?;
-            for rec in &records {
-                let encoded = encode_value(&rec.to_value());
-                let mut payload = Vec::with_capacity(encoded.len() + 4);
-                payload.extend_from_slice(&crc32(&encoded).to_be_bytes());
-                payload.extend_from_slice(&encoded);
-                write_frame(&mut out, &payload).map_err(|e| io::Error::other(e.to_string()))?;
-            }
+            out.write_all(&image)?;
             out.sync_data()?;
         }
         fs::rename(&tmp, &self.path)?;
-        // The rename itself lives in the directory: without a directory
-        // fsync a power loss can un-do it, resurrecting the old inode
-        // and silently dropping every append written to the new one.
-        if self.fsync {
-            if let Some(parent) = self.path.parent() {
-                sync_dir(parent)?;
+        let reopened = (|| {
+            // The rename itself lives in the directory: without a
+            // directory fsync a power loss can un-do it, resurrecting
+            // the old inode and silently dropping every append written
+            // to the new one.
+            if self.fsync {
+                if let Some(parent) = self.path.parent() {
+                    sync_dir(parent)?;
+                }
             }
+            let file = OpenOptions::new().append(true).open(&self.path)?;
+            let sync_file = file.try_clone()?;
+            Ok::<_, io::Error>((file, sync_file))
+        })();
+        let (file, sync_file) = match reopened {
+            Ok(files) => files,
+            Err(e) => {
+                self.poison();
+                return Err(e);
+            }
+        };
+        tail.file = file;
+        tail.last_state.clear();
+        {
+            let mut sync = self.sync.lock().unwrap_or_else(PoisonError::into_inner);
+            sync.durable = self.written.load(Ordering::Acquire);
+            sync.file = Arc::new(sync_file);
         }
-        *file = OpenOptions::new().append(true).open(&self.path)?;
+        self.synced.notify_all();
         self.appends.store(0, Ordering::Relaxed);
         Ok(records.len())
     }
+}
+
+/// The error every append, wait and compaction returns once the log is
+/// poisoned.
+fn poisoned() -> io::Error {
+    io::Error::other("write-ahead log poisoned by an earlier write or fsync failure")
+}
+
+/// One record as it sits in the file: version + length header, then the
+/// CRC32 of the encoded record, then the record.
+fn encode_frame(record: &WalRecord) -> io::Result<Vec<u8>> {
+    let encoded = encode_value(&record.to_value());
+    let mut payload = Vec::with_capacity(encoded.len() + 4);
+    payload.extend_from_slice(&crc32(&encoded).to_be_bytes());
+    payload.extend_from_slice(&encoded);
+    let mut frame = Vec::with_capacity(payload.len() + 5);
+    write_frame(&mut frame, &payload).map_err(|e| match e {
+        FrameError::Io(io) => io,
+        other => io::Error::other(other.to_string()),
+    })?;
+    Ok(frame)
+}
+
+/// 64-bit FNV-1a, the digest [`Wal::append_nowait`] compares `State`
+/// frames by.
+fn fnv1a64(data: &[u8]) -> u64 {
+    data.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Fsyncs a directory so a rename performed in it survives power loss.
@@ -733,7 +989,7 @@ mod tests {
         for r in &records {
             wal.append(r).unwrap();
         }
-        assert_eq!(wal.appends_since_rewrite(), records.len() as u64);
+        assert_eq!(wal.appends_since_compact(), records.len() as u64);
         let replay = Wal::replay_path(wal.path()).unwrap();
         assert_eq!(replay.corrupt, 0);
         assert_eq!(replay.records, records);
@@ -872,7 +1128,7 @@ mod tests {
         }
         let big = fs::metadata(wal.path()).unwrap().len();
         assert_eq!(wal.compact(&[]).unwrap(), 1);
-        assert_eq!(wal.appends_since_rewrite(), 0);
+        assert_eq!(wal.appends_since_compact(), 0);
         assert!(fs::metadata(wal.path()).unwrap().len() < big);
         // The image keeps the newest acknowledged state.
         let replay = Wal::replay_path(wal.path()).unwrap();
@@ -894,6 +1150,192 @@ mod tests {
         let f = fold(&replay.records);
         assert!(f.survivors.is_empty());
         assert_eq!(f.departed, vec![(CompletId::new(0, 1), 9, 1)]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn counting_hook(wal: &Wal) -> Arc<AtomicU64> {
+        let fsyncs = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&fsyncs);
+        *wal.sync_hook.lock() = Some(Box::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        }));
+        fsyncs
+    }
+
+    #[test]
+    fn one_fsync_covers_every_record_written_before_it() {
+        let dir = tmpdir("group");
+        let wal = Wal::open(&dir, "core0", true).unwrap();
+        let fsyncs = counting_hook(&wal);
+        let lsns: Vec<u64> = (1..=3)
+            .map(|seq| {
+                let a = wal
+                    .append_nowait(&WalRecord::State(sample_state(seq, 1)))
+                    .unwrap();
+                assert!(a.written);
+                a.lsn
+            })
+            .collect();
+        assert_eq!(lsns, vec![1, 2, 3]);
+        assert_eq!(
+            fsyncs.load(Ordering::SeqCst),
+            0,
+            "the write half never syncs"
+        );
+        assert!(
+            wal.wait_durable(lsns[2]).unwrap(),
+            "the waiter leads the fsync"
+        );
+        assert_eq!(fsyncs.load(Ordering::SeqCst), 1);
+        // The earlier records rode on that fsync.
+        assert!(!wal.wait_durable(lsns[0]).unwrap());
+        assert!(!wal.wait_durable(lsns[1]).unwrap());
+        assert_eq!(fsyncs.load(Ordering::SeqCst), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unchanged_state_is_not_rewritten() {
+        let dir = tmpdir("skip");
+        let wal = Wal::open(&dir, "core0", true).unwrap();
+        let first = wal
+            .append_nowait(&WalRecord::State(sample_state(1, 1)))
+            .unwrap();
+        assert!(first.written);
+        // Byte-identical: nothing written, the earlier LSN comes back.
+        let again = wal
+            .append_nowait(&WalRecord::State(sample_state(1, 1)))
+            .unwrap();
+        assert_eq!(
+            again,
+            Appended {
+                lsn: first.lsn,
+                written: false
+            }
+        );
+        // Another id's identical-looking state is its own record.
+        assert!(
+            wal.append_nowait(&WalRecord::State(sample_state(2, 1)))
+                .unwrap()
+                .written
+        );
+        // A changed state is written.
+        let changed = wal
+            .append_nowait(&WalRecord::State(sample_state(1, 2)))
+            .unwrap();
+        assert!(changed.written);
+        assert!(changed.lsn > first.lsn);
+        // Any non-State record forgets what was logged: the same state
+        // after it is written again.
+        wal.append_nowait(&WalRecord::Departed {
+            id: CompletId::new(0, 1),
+            epoch: 4,
+            dest: Some(1),
+        })
+        .unwrap();
+        assert!(
+            wal.append_nowait(&WalRecord::State(sample_state(1, 2)))
+                .unwrap()
+                .written
+        );
+        // So does compaction.
+        wal.compact(&[]).unwrap();
+        assert!(
+            wal.append_nowait(&WalRecord::State(sample_state(1, 2)))
+                .unwrap()
+                .written
+        );
+        assert_eq!(wal.appends_since_compact(), 1);
+        let replay = Wal::replay_path(wal.path()).unwrap();
+        // The image (ids 1 and 2) plus the one record after it.
+        assert_eq!(replay.records.len(), 3);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compaction_makes_every_written_lsn_durable() {
+        let dir = tmpdir("compact-durable");
+        let wal = Wal::open(&dir, "core0", true).unwrap();
+        let lsns: Vec<u64> = (1..=3)
+            .map(|seq| {
+                wal.append_nowait(&WalRecord::State(sample_state(seq, 7)))
+                    .unwrap()
+                    .lsn
+            })
+            .collect();
+        wal.compact(&[]).unwrap();
+        let fsyncs = counting_hook(&wal);
+        for lsn in lsns {
+            assert!(!wal.wait_durable(lsn).unwrap());
+        }
+        assert_eq!(
+            fsyncs.load(Ordering::SeqCst),
+            0,
+            "the synced image covers them"
+        );
+        // LSNs keep rising across the compaction, and the new file syncs.
+        let next = wal
+            .append_nowait(&WalRecord::State(sample_state(1, 8)))
+            .unwrap();
+        assert_eq!(next.lsn, 4);
+        assert!(wal.wait_durable(next.lsn).unwrap());
+        assert_eq!(fsyncs.load(Ordering::SeqCst), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_fsync_poisons_the_log() {
+        const WAITERS: u64 = 4;
+        let dir = tmpdir("poison");
+        let wal = Wal::open(&dir, "core0", true).unwrap();
+        let arrived = Arc::new(AtomicU64::new(0));
+        let seen = Arc::clone(&arrived);
+        // The leader's fsync fails only once every waiter has written
+        // its record and is about to wait, so all of them are above
+        // the durable LSN when the log is poisoned.
+        *wal.sync_hook.lock() = Some(Box::new(move || {
+            while seen.load(Ordering::SeqCst) < WAITERS {
+                std::thread::yield_now();
+            }
+            Err(io::Error::other("injected fsync failure"))
+        }));
+        let lsns: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (1..=WAITERS)
+                .map(|seq| {
+                    let (wal, arrived) = (&wal, &arrived);
+                    s.spawn(move || {
+                        let lsn = wal
+                            .append_nowait(&WalRecord::State(sample_state(seq, 1)))
+                            .unwrap()
+                            .lsn;
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        let waited = wal.wait_durable(lsn);
+                        assert!(waited.is_err(), "waiter {seq} got {waited:?}");
+                        lsn
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        // Fail fast from here on: a later fsync must not paper over the
+        // failed one.
+        *wal.sync_hook.lock() = None;
+        assert!(wal
+            .append_nowait(&WalRecord::State(sample_state(9, 9)))
+            .is_err());
+        assert!(wal
+            .append_nowait(&WalRecord::Departed {
+                id: CompletId::new(0, 1),
+                epoch: 1,
+                dest: None,
+            })
+            .is_err());
+        for lsn in lsns {
+            assert!(wal.wait_durable(lsn).is_err());
+        }
+        assert!(wal.append(&WalRecord::State(sample_state(1, 1))).is_err());
+        assert!(wal.compact(&[]).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 

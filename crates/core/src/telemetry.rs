@@ -175,8 +175,12 @@ pub(crate) struct CoreTelemetry {
     pub naming_handoffs_total: Counter,
 
     // Durability (write-ahead passivation log + restart recovery).
-    /// Records appended to the write-ahead log.
+    /// Records physically written to the write-ahead log (an unchanged
+    /// state that was not rewritten does not count).
     pub wal_appends_total: Counter,
+    /// Group fsyncs of the write-ahead log; each covers every record
+    /// written before it started.
+    pub wal_fsyncs_total: Counter,
     /// Log compactions (monitor-tick or explicit rewrites).
     pub wal_compactions_total: Counter,
     /// Write-ahead log append or compaction failures.
@@ -302,6 +306,7 @@ impl CoreTelemetry {
             naming_gossip_bytes_total: registry.counter("fargo_naming_gossip_bytes_total", l),
             naming_handoffs_total: registry.counter("fargo_naming_handoffs_total", l),
             wal_appends_total: registry.counter("fargo_wal_appends_total", l),
+            wal_fsyncs_total: registry.counter("fargo_wal_fsyncs_total", l),
             wal_compactions_total: registry.counter("fargo_wal_compactions_total", l),
             wal_errors_total: registry.counter("fargo_wal_errors_total", l),
             recovery_replayed_total: registry.counter("fargo_recovery_replayed_total", l),

@@ -458,3 +458,111 @@ fn compaction_never_drops_concurrently_acked_state() {
     );
     cleanup(&root, &cores);
 }
+
+/// `stop()` used to return while the monitor thread slept out its tick,
+/// and the pass it ran afterwards could compact the stopped
+/// incarnation's log: the stale fold was renamed over the log of the
+/// Core already respawned on the same directory, whose later appends
+/// then went to an unlinked file. `stop()` now wakes and joins the
+/// monitor, so an immediate respawn owns the log alone. Each round
+/// pushes the log past the compaction threshold right before the stop
+/// (so the stale pass, if any, would compact), and every acknowledged
+/// add must survive every restart.
+#[test]
+fn stop_joins_monitor_before_respawn_on_same_log() {
+    let mut base = test_config().with_wal_compact_records(8);
+    base.monitor_tick = Duration::from_millis(5);
+    let (net, reg, mut cores, root) = wal_cluster_with(1, "stop-monitor", base.clone());
+    let counter = cores[0].new_complet("Counter", &[]).unwrap();
+    let mut stub = counter;
+    let mut expect = 0i64;
+    for round in 0..30 {
+        for _ in 0..24 {
+            stub.call("add", &[Value::I64(1)]).unwrap();
+            expect += 1;
+        }
+        cores[0].stop();
+        cores[0] = restart(&net, &reg, base.clone(), &root, &cores[0], 0);
+        stub = fresh_stub(&cores[0], stub.id(), "Counter");
+        assert_eq!(
+            stub.call("get", &[]).unwrap(),
+            Value::I64(expect),
+            "round {round}: acknowledged adds lost across stop + respawn"
+        );
+    }
+    cleanup(&root, &cores);
+}
+
+/// Group commit releases the slot lock before the record is synced, so
+/// a read can run while the last write is still in flight. A read must
+/// then wait for that write's record (it writes none of its own when
+/// the state is unchanged): no value a caller saw — from a read or an
+/// ack — may exceed what recovery brings back. Eight callers mix
+/// acknowledged adds and reads on four hot complets hosted on `core1`
+/// until `core1` is crashed mid-traffic and respawned.
+#[test]
+fn reads_never_report_state_a_crash_loses() {
+    use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+
+    const CALLERS: usize = 8;
+    const HOT: usize = 4;
+    let (net, reg, mut cores, root) = wal_cluster(2, "read-unsynced");
+    let counters: Vec<BoundRef> = (0..HOT)
+        .map(|_| cores[0].new_complet_at("core1", "Counter", &[]).unwrap())
+        .collect();
+    let crashed = AtomicBool::new(false);
+    let seen: Vec<AtomicI64> = (0..HOT).map(|_| AtomicI64::new(0)).collect();
+    let acked = AtomicI64::new(0);
+    std::thread::scope(|s| {
+        for caller in 0..CALLERS {
+            let (counters, crashed, seen, acked) = (&counters, &crashed, &seen, &acked);
+            s.spawn(move || {
+                let mut k = caller;
+                while !crashed.load(Ordering::SeqCst) {
+                    let hot = k % HOT;
+                    let add = (k / HOT + caller) % 2 == 0;
+                    k += 1;
+                    let result = if add {
+                        counters[hot].call("add", &[Value::I64(1)])
+                    } else {
+                        counters[hot].call("get", &[])
+                    };
+                    if let Ok(Value::I64(v)) = result {
+                        seen[hot].fetch_max(v, Ordering::SeqCst);
+                        if add {
+                            acked.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                }
+            });
+        }
+        std::thread::sleep(Duration::from_millis(300));
+        crashed.store(true, Ordering::SeqCst);
+        cores[1].stop();
+    });
+    assert!(
+        acked.load(Ordering::SeqCst) > 0,
+        "no add was acknowledged before the crash"
+    );
+
+    cores[1] = restart(&net, &reg, test_config(), &root, &cores[1], 1);
+    assert_eq!(cores[1].recovery_report().expect("recovered").replayed, HOT);
+    let mut recovered_total = 0;
+    for (hot, counter) in counters.iter().enumerate() {
+        let fresh = fresh_stub(&cores[1], counter.id(), "Counter");
+        let Value::I64(recovered) = fresh.call("get", &[]).unwrap() else {
+            panic!("counter {hot} did not answer with a number");
+        };
+        let max_seen = seen[hot].load(Ordering::SeqCst);
+        assert!(
+            max_seen <= recovered,
+            "counter {hot}: a caller saw {max_seen} before the crash, recovery has {recovered}"
+        );
+        recovered_total += recovered;
+    }
+    assert!(
+        acked.load(Ordering::SeqCst) <= recovered_total,
+        "acknowledged adds lost"
+    );
+    cleanup(&root, &cores);
+}

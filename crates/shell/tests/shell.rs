@@ -401,6 +401,16 @@ fn stats_json_is_parseable_and_carries_quantiles() {
     assert_valid_json_array(&json);
     assert!(json.contains("\"name\":\"fargo_invoke_total\""), "{json}");
     assert!(json.contains("\"labels\":{\"core\":\"core0\"}"), "{json}");
+    // The write-ahead log's group-commit counter sits next to its
+    // append counter.
+    assert!(
+        json.contains("\"name\":\"fargo_wal_appends_total\""),
+        "{json}"
+    );
+    assert!(
+        json.contains("\"name\":\"fargo_wal_fsyncs_total\""),
+        "{json}"
+    );
     // Histogram values expose estimated quantiles alongside the buckets.
     assert!(json.contains("\"p50\":"), "{json}");
     assert!(json.contains("\"p99\":"), "{json}");
